@@ -162,7 +162,9 @@ def decode_result(config: PtpBenchmarkConfig,
 
     Timelines are unpacked exactly (binary64 round trip) and metrics
     recomputed, so the result is indistinguishable from the one that was
-    encoded — the golden-digest tests pin this bit for bit.
+    encoded — the golden-digest tests pin this bit for bit.  Any frame
+    that does not decode to a valid result raises :class:`WireError`
+    and nothing else, so a corrupt cache entry is a miss, never a crash.
     """
     view = memoryview(bytes(frame))
     try:
@@ -228,7 +230,14 @@ def decode_result(config: PtpBenchmarkConfig,
             result.samples.append(PtpSample(
                 iteration=iteration, timeline=timeline,
                 metrics=PtpMetrics.from_timeline(timeline)))
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+    except WireError:
+        raise
+    except (struct.error, IndexError, ValueError, ArithmeticError,
+            ReproError) as exc:
+        # A frame can pass every layout check and still carry values no
+        # real result has (an arrival before its pready, a zero-byte
+        # message): the timeline and metric validators reject those,
+        # and callers must see a corrupt frame, not a config error.
         raise WireError(f"corrupt wire frame: {exc}")
     if offset != len(view):
         raise WireError(

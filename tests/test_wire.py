@@ -1,5 +1,6 @@
 """The binary wire codec: lossless frames, strict decoding, dict fallback."""
 
+import random
 import struct
 
 import pytest
@@ -135,6 +136,36 @@ class TestStrictDecoding:
 
     def test_wire_error_is_a_repro_error(self):
         assert issubclass(WireError, ReproError)
+
+    def test_well_formed_but_invalid_timeline_is_a_wire_error(self):
+        """A layout-valid frame with an impossible timeline is corrupt.
+
+        Regression: the timeline validator's ConfigurationError
+        ("partition arrived ... before its pready") escaped
+        decode_result, so a corrupted cache entry crashed the sweep
+        instead of reading as a miss.
+        """
+        config, fresh = _result()
+        frame = encode_result(fresh)
+        arrival = struct.pack("<d", fresh.samples[0].timeline
+                              .arrival_times[0])
+        at = frame.index(arrival)
+        bad = frame[:at] + struct.pack("<d", -1.0) + frame[at + 8:]
+        with pytest.raises(WireError, match="corrupt"):
+            decode_result(config, bad)
+
+    def test_random_mutations_raise_only_wire_errors(self):
+        config, fresh = _result()
+        frame = encode_result(fresh)
+        rng = random.Random(7)
+        for _ in range(500):
+            mutated = bytearray(frame)
+            for _ in range(rng.randint(1, 3)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            try:
+                decode_result(config, bytes(mutated))
+            except WireError:
+                pass
 
 
 class TestPayloadDispatch:
